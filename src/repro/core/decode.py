@@ -92,7 +92,12 @@ def decode_word(machine, word: Word,
             return Struct(name, args)
         raise ValueError(f"cannot decode word of type {t.name}")
 
-    return walk(word, [MAX_DECODE_CELLS])
+    try:
+        return walk(word, [MAX_DECODE_CELLS])
+    finally:
+        # walk refers to itself through its closure cell; emptying the
+        # cell breaks that cycle so the store is freed by refcounting.
+        del walk
 
 
 def encode_term(machine, term: Term) -> Word:
@@ -132,4 +137,7 @@ def encode_term(machine, term: Term) -> Word:
             return make_struct(address)
         raise TypeError(f"cannot encode {t!r}")
 
-    return build(term)
+    try:
+        return build(term)
+    finally:
+        del build   # break the self-referencing closure cycle (see above)

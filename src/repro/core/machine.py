@@ -138,8 +138,9 @@ class Machine:
             self._stack_base[zone] = initial_stack_pointer(
                 region, staggered=stagger_stacks)
 
-        self.trail = Trail(self._stack_base[Zone.TRAIL],
-                           self._trail_read, self._trail_write)
+        #: the trail's memory accessors are bound by :meth:`_execute`
+        #: for the duration of one run, so the machine stays acyclic.
+        self.trail = Trail(self._stack_base[Zone.TRAIL])
 
         # Answer collection (the '$answer' escape).
         self.solutions: List[dict] = []
@@ -172,7 +173,6 @@ class Machine:
         #: TRAP_LOG_RING reports plus a dropped-count).
         self.trap_log = TrapLogRing()
 
-        self._dispatch = self._build_dispatch()
         #: predecoded block table (repro.core.predecode), built lazily
         #: per code image and dropped whenever the code zone changes.
         self._predecoded: Optional[PredecodedCode] = None
@@ -270,23 +270,16 @@ class Machine:
         """Drop the unpicklable/derived host-side state.
 
         The fused memory closures (installed as instance attributes
-        ``_read``/``_write``/``deref`` for the duration of one run),
-        the dispatch table of bound methods and lambdas, and the
-        predecoded block table are all excluded; every one is rebuilt
-        deterministically — the dispatch table eagerly on unpickle,
-        the closures on the next run, the predecode table lazily by
-        :meth:`_ensure_predecoded`.
+        ``_read``/``_write``/``deref`` for the duration of one run) and
+        the predecoded block table are excluded; both are rebuilt
+        deterministically — the closures on the next run, the
+        predecode table lazily by :meth:`_ensure_predecoded`.
         """
         state = self.__dict__.copy()
         for derived in ("_read", "_write", "deref"):
             state.pop(derived, None)
-        state["_dispatch"] = None
         state["_predecoded"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._dispatch = self._build_dispatch()
 
     # ------------------------------------------------------------------
     # memory access helpers (all cycle-accounted)
@@ -313,12 +306,6 @@ class Machine:
         cycles = self.memory.data_write(address, word, zone, word_type)
         self.cycles += cycles - 1
         self.stats.data_writes += 1
-
-    def _trail_read(self, address: int, zone: Zone) -> Word:
-        return self._read(address, zone)
-
-    def _trail_write(self, address: int, word: Word, zone: Zone) -> None:
-        self._write(address, word, zone)
 
     # ------------------------------------------------------------------
     # dereferencing, binding, trailing
@@ -1089,12 +1076,12 @@ class Machine:
             (self.bind, self.unify, self.fail,
              self._create_choice_point, self._refresh_barriers,
              self._pop_choice_point) = self._fused_control_path()
-            # The trail's accessors forward through _trail_read/_write
-            # to self._read/_write; pointing them at the fused closures
-            # for the run saves the forwarding frame on every push and
-            # unwind entry.  Restored below with the fused accessors.
-            trail._read = self._read
-            trail._write = self._write
+        # The trail reads and writes through this run's accessors (the
+        # fused closures under fast_path); unbound again below, because
+        # a bound method of self stored on the trail would make every
+        # machine a reference cycle.
+        trail._read = self._read
+        trail._write = self._write
         try:
             if self.trap_vector.armed or self.injector is not None:
                 self._loop_recovering()
@@ -1131,8 +1118,7 @@ class Machine:
             self.__dict__.pop("_create_choice_point", None)
             self.__dict__.pop("_refresh_barriers", None)
             self.__dict__.pop("_pop_choice_point", None)
-            trail._read = self._trail_read
-            trail._write = self._trail_write
+            trail._read = trail._write = None
             stats.cycles = self.cycles
             stats.solutions = len(self.solutions)
             stats.trail_pushes = self.trail.pushes
@@ -1191,7 +1177,7 @@ class Machine:
     def _loop_predecoded(self) -> None:
         """The predecoded threaded-dispatch hot loop (docs/PERF.md).
 
-        Executes basic blocks of bound step tuples: the block's static
+        Executes basic blocks of step tuples: the block's static
         cycles / instruction count / inference count are charged once
         at block entry and the unexecuted suffix is uncharged when a
         step transfers control early (failure, builtin redirect, trap),
@@ -1205,7 +1191,8 @@ class Machine:
         two counters batched locally, flushed on every exit path.
 
         Blocks the profile marked hot carry a superinstruction closure
-        (``entry[4]``, built by repro.core.superops): the whole run
+        (``entry[4]``, built by repro.core.superops on the block's first
+        entry, called as ``fused(machine)``): the whole run
         executes as one call with identical observables — the closure
         performs the same per-instruction ring writes, code-fetch
         probes and deviation uncharges this loop would.
@@ -1237,7 +1224,7 @@ class Machine:
                     # one generated closure (repro.core.superops) that
                     # maintains P, the recent-PC ring, code-fetch
                     # timing and the deviation uncharges itself.
-                    fused()
+                    fused(self)
                     if self.cycles > max_cycles:
                         raise self._cycle_limit_error(max_cycles)
                     continue
@@ -1268,7 +1255,7 @@ class Machine:
                                     stats.inferences -= step[2]
                                     raise
                         self.p = next_p
-                        handler(instr)
+                        handler(self, instr)
                         i += 1
                         if i == n:
                             break
@@ -1327,7 +1314,7 @@ class Machine:
                 stats.inferences += 1
             if self.tracer is not None:
                 self.tracer.on_instruction(self, p, instr)
-            dispatch[op](instr)
+            dispatch[op](self, instr)
             if self.cycles > max_cycles:
                 raise self._cycle_limit_error(max_cycles)
 
@@ -1394,7 +1381,7 @@ class Machine:
                 if self.tracer is not None:
                     self.tracer.on_instruction(self, p, instr,
                                                replay=replay)
-                handler(instr)
+                handler(self, instr)
             except MachineTrap as trap:
                 if not self._service_trap(trap, p, snapshot):
                     raise
@@ -1617,66 +1604,6 @@ class Machine:
         self.invalidate_predecode()
         return stub
 
-    # ------------------------------------------------------------------
-    # dispatch table
-    # ------------------------------------------------------------------
-
-    def _build_dispatch(self) -> Dict[Op, Callable[[Instruction], None]]:
-        return {
-            Op.CALL: self._op_call,
-            Op.EXECUTE: self._op_execute,
-            Op.PROCEED: self._op_proceed,
-            Op.ALLOCATE: self._op_allocate,
-            Op.DEALLOCATE: self._op_deallocate,
-            Op.HALT: self._op_halt,
-            Op.JUMP: self._op_jump,
-            Op.FAIL: lambda instr: self.fail(),
-            Op.TRY_ME_ELSE: self._op_try_me_else,
-            Op.RETRY_ME_ELSE: self._op_retry_me_else,
-            Op.TRUST_ME: self._op_trust_me,
-            Op.TRY: self._op_try,
-            Op.RETRY: self._op_retry,
-            Op.TRUST: self._op_trust,
-            Op.NECK: self._op_neck,
-            Op.NECK_CUT: self._op_neck_cut,
-            Op.GET_LEVEL: self._op_get_level,
-            Op.CUT: self._op_cut,
-            Op.CUT_Y: self._op_cut_y,
-            Op.SWITCH_ON_TERM: self._op_switch_on_term,
-            Op.SWITCH_ON_CONSTANT: self._op_switch_on_constant,
-            Op.SWITCH_ON_STRUCTURE: self._op_switch_on_structure,
-            Op.GET_X_VARIABLE: self._op_get_x_variable,
-            Op.GET_Y_VARIABLE: self._op_get_y_variable,
-            Op.GET_X_VALUE: self._op_get_x_value,
-            Op.GET_Y_VALUE: self._op_get_y_value,
-            Op.GET_CONSTANT: self._op_get_constant,
-            Op.GET_NIL: self._op_get_nil,
-            Op.GET_LIST: self._op_get_list,
-            Op.GET_STRUCTURE: self._op_get_structure,
-            Op.PUT_X_VARIABLE: self._op_put_x_variable,
-            Op.PUT_Y_VARIABLE: self._op_put_y_variable,
-            Op.PUT_X_VALUE: self._op_put_x_value,
-            Op.PUT_Y_VALUE: self._op_put_y_value,
-            Op.PUT_UNSAFE_VALUE: self._op_put_unsafe_value,
-            Op.PUT_CONSTANT: self._op_put_constant,
-            Op.PUT_NIL: self._op_put_nil,
-            Op.PUT_LIST: self._op_put_list,
-            Op.PUT_STRUCTURE: self._op_put_structure,
-            Op.UNIFY_X_VARIABLE: self._op_unify_x_variable,
-            Op.UNIFY_Y_VARIABLE: self._op_unify_y_variable,
-            Op.UNIFY_X_VALUE: self._op_unify_x_value,
-            Op.UNIFY_Y_VALUE: self._op_unify_y_value,
-            Op.UNIFY_X_LOCAL_VALUE: self._op_unify_x_local_value,
-            Op.UNIFY_Y_LOCAL_VALUE: self._op_unify_y_local_value,
-            Op.UNIFY_CONSTANT: self._op_unify_constant,
-            Op.UNIFY_NIL: self._op_unify_nil,
-            Op.UNIFY_VOID: self._op_unify_void,
-            Op.MOVE2: self._op_move2,
-            Op.ARITH: self._op_arith,
-            Op.TEST: self._op_test,
-            Op.GEN_UNIFY: self._op_gen_unify,
-            Op.ESCAPE: self._op_escape,
-        }
 
     # ------------------------------------------------------------------
     # control instructions
@@ -1704,6 +1631,9 @@ class Machine:
     def _op_deallocate(self, instr: Instruction) -> None:
         self.cp = int(self._read(self.e + ENV_CP, Zone.LOCAL).value)
         self.e = int(self._read(self.e + ENV_CE, Zone.LOCAL).value)
+
+    def _op_fail(self, instr: Instruction) -> None:
+        self.fail()
 
     def _op_halt(self, instr: Instruction) -> None:
         self.running = False
@@ -2201,6 +2131,70 @@ class Machine:
         self.cycles += instr.b * self.costs.escape_per_arg
         if not handler(self, instr.b):
             self.fail()
+
+    # ------------------------------------------------------------------
+    # dispatch table
+    # ------------------------------------------------------------------
+
+    #: opcode -> plain handler function, called as ``handler(machine,
+    #: instr)``.  One class-level table rather than per-instance bound
+    #: methods: a machine holding bound methods of itself is a
+    #: reference cycle that only the cycle collector frees.
+    _dispatch: Dict[Op, Callable[["Machine", Instruction], None]] = {
+        Op.CALL: _op_call,
+        Op.EXECUTE: _op_execute,
+        Op.PROCEED: _op_proceed,
+        Op.ALLOCATE: _op_allocate,
+        Op.DEALLOCATE: _op_deallocate,
+        Op.HALT: _op_halt,
+        Op.JUMP: _op_jump,
+        Op.FAIL: _op_fail,
+        Op.TRY_ME_ELSE: _op_try_me_else,
+        Op.RETRY_ME_ELSE: _op_retry_me_else,
+        Op.TRUST_ME: _op_trust_me,
+        Op.TRY: _op_try,
+        Op.RETRY: _op_retry,
+        Op.TRUST: _op_trust,
+        Op.NECK: _op_neck,
+        Op.NECK_CUT: _op_neck_cut,
+        Op.GET_LEVEL: _op_get_level,
+        Op.CUT: _op_cut,
+        Op.CUT_Y: _op_cut_y,
+        Op.SWITCH_ON_TERM: _op_switch_on_term,
+        Op.SWITCH_ON_CONSTANT: _op_switch_on_constant,
+        Op.SWITCH_ON_STRUCTURE: _op_switch_on_structure,
+        Op.GET_X_VARIABLE: _op_get_x_variable,
+        Op.GET_Y_VARIABLE: _op_get_y_variable,
+        Op.GET_X_VALUE: _op_get_x_value,
+        Op.GET_Y_VALUE: _op_get_y_value,
+        Op.GET_CONSTANT: _op_get_constant,
+        Op.GET_NIL: _op_get_nil,
+        Op.GET_LIST: _op_get_list,
+        Op.GET_STRUCTURE: _op_get_structure,
+        Op.PUT_X_VARIABLE: _op_put_x_variable,
+        Op.PUT_Y_VARIABLE: _op_put_y_variable,
+        Op.PUT_X_VALUE: _op_put_x_value,
+        Op.PUT_Y_VALUE: _op_put_y_value,
+        Op.PUT_UNSAFE_VALUE: _op_put_unsafe_value,
+        Op.PUT_CONSTANT: _op_put_constant,
+        Op.PUT_NIL: _op_put_nil,
+        Op.PUT_LIST: _op_put_list,
+        Op.PUT_STRUCTURE: _op_put_structure,
+        Op.UNIFY_X_VARIABLE: _op_unify_x_variable,
+        Op.UNIFY_Y_VARIABLE: _op_unify_y_variable,
+        Op.UNIFY_X_VALUE: _op_unify_x_value,
+        Op.UNIFY_Y_VALUE: _op_unify_y_value,
+        Op.UNIFY_X_LOCAL_VALUE: _op_unify_x_local_value,
+        Op.UNIFY_Y_LOCAL_VALUE: _op_unify_y_local_value,
+        Op.UNIFY_CONSTANT: _op_unify_constant,
+        Op.UNIFY_NIL: _op_unify_nil,
+        Op.UNIFY_VOID: _op_unify_void,
+        Op.MOVE2: _op_move2,
+        Op.ARITH: _op_arith,
+        Op.TEST: _op_test,
+        Op.GEN_UNIFY: _op_gen_unify,
+        Op.ESCAPE: _op_escape,
+    }
 
     # ------------------------------------------------------------------
     # conveniences for tests and tools

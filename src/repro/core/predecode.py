@@ -9,12 +9,13 @@ literature (Körner et al., PAPERS.md) shows predecoding plus
 threaded-style dispatch is the dominant host-side win for this
 interpreter shape.
 
-This module translates the code zone once, at load time, into *bound
-step tuples*::
+This module translates the code zone once, at load time, into *step
+tuples*::
 
     (handler, static_cost, infer, next_p, instr)
 
-where ``handler`` is the machine's already-bound ``_op_*`` method,
+where ``handler`` is the machine class's plain ``_op_*`` function,
+called as ``handler(machine, instr)``,
 ``static_cost`` the precomputed ``CostModel.instruction_cost`` for the
 opcode, ``infer`` 0/1 for the inference counter, and ``next_p`` the
 fall-through address.  Steps are grouped into *basic blocks*: for every
@@ -29,12 +30,14 @@ bit-identical to the seed loop; only host work changes.
 
 On top of the block views sits the superinstruction layer
 (:mod:`repro.core.superops`): when a fuser is supplied, blocks whose
-opcode runs the profile marked hot are compiled into single closures
-and their entries carry that closure in the ``fused`` slot (with the
-same sums, so mid-block uncharges that land on a fused fall-through
-address still read correct suffix totals).  The per-address plain
-steps survive in :attr:`PredecodedCode.singles` for the recovering
-loop, which always executes one instruction at a time.
+opcode runs the profile marked hot carry a stub in the ``fused`` slot
+(with the same sums, so mid-block uncharges that land on a fused
+fall-through address still read correct suffix totals).  The stub
+compiles the block into a single closure on its first call and
+patches the entry, so only blocks that actually run pay for fusion.
+The per-address plain steps survive in :attr:`PredecodedCode.singles`
+for the recovering loop, which always executes one instruction at a
+time.
 
 The table is a pure cache over ``machine.code``: anything that writes
 the code zone (the linker's :meth:`LinkedImage.install`, the
@@ -71,7 +74,9 @@ Step = Tuple[Callable, int, int, int, object]
 #: One table entry: (steps-from-here-to-block-end, static-cycle sum,
 #: instruction count, inference count, fused-closure-or-None).  Fused
 #: entries keep their sums but carry an empty steps tuple — the closure
-#: embodies the whole run.
+#: (first a fuse-on-entry stub, see
+#: :meth:`repro.core.superops.SuperopFuser.stub`) embodies the whole
+#: run and is called as ``fused(machine)``.
 BlockView = Tuple[Tuple[Step, ...], int, int, int, Optional[Callable]]
 
 
@@ -113,13 +118,15 @@ def predecode(code: list, dispatch: Dict[Op, Callable],
               fuser=None, generation: int = 0) -> PredecodedCode:
     """Translate ``code`` into a :class:`PredecodedCode` table.
 
-    ``dispatch`` maps opcodes to bound handlers (the machine's dispatch
-    table); ``static_costs`` maps opcodes to their fixed per-execution
-    cycle charge (:meth:`CostModel.static_cost_table`).  ``fuser``, when
-    given, is a :class:`repro.core.superops.SuperopFuser` consulted per
-    block entry; blocks it fuses execute as one closure on the fast
-    loop.  ``generation`` stamps the table with the machine's code-zone
-    generation for the :meth:`PredecodedCode.valid_for` check.
+    ``dispatch`` maps opcodes to handlers called as ``handler(machine,
+    instr)`` (the machine's dispatch table); ``static_costs`` maps
+    opcodes to their fixed per-execution cycle charge
+    (:meth:`CostModel.static_cost_table`).  ``fuser``, when given, is a
+    :class:`repro.core.superops.SuperopFuser` consulted per block entry;
+    blocks it matches get a fuse-on-first-entry stub and then execute
+    as one closure on the fast loop.  ``generation`` stamps the table
+    with the machine's code-zone generation for the
+    :meth:`PredecodedCode.valid_for` check.
 
     Entries are built right to left so each address's block view shares
     the step tuples (not the tuples-of-steps) of its suffix addresses:
@@ -158,13 +165,11 @@ def predecode(code: list, dispatch: Dict[Op, Callable],
     if fuser is not None:
         for address in range(n):
             entry = entries[address]
-            if entry is None:
+            if entry is None or not fuser.matches(entry[0]):
                 continue
-            closure = fuser.fuse(address, entry[0])
-            if closure is not None:
-                entries[address] = ((), entry[1], entry[2], entry[3],
-                                    closure)
-                fused_count += 1
+            entries[address] = ((), entry[1], entry[2], entry[3],
+                                fuser.stub(address, entry[0]))
+            fused_count += 1
 
     PredecodedCode.translations_performed += 1
     return PredecodedCode(entries, n, singles=steps,

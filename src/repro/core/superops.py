@@ -1,7 +1,7 @@
 """Profile-guided superinstruction fusion over the predecoded fast path.
 
 The predecode layer (:mod:`repro.core.predecode`) already pays decode
-cost once per code word, but still executes one bound handler per
+cost once per code word, but still executes one handler call per
 instruction.  Following the superinstruction literature for exactly
 this interpreter shape (Körner et al., arXiv 2008.12543 — see
 PAPERS.md), this module fuses hot straight-line opcode *runs* into
@@ -12,12 +12,13 @@ single generated host functions:
   artifact :mod:`repro.core.superops_table`, produced by profiling the
   PLM bench corpus with ``python -m repro.bench.superprofile`` rather
   than hand-picked.
-- :class:`SuperopFuser` compiles one closure per fused basic block.
+- :class:`SuperopFuser` compiles one closure per fused basic block,
+  on the block's first entry (predecode plants a stub).
   The closure's source is generated per block: operand registers,
   fall-through addresses, code-cache probe constants and suffix cost
   sums are baked in as literals, the common data-movement and
   unification opcodes are inlined, and everything else calls the
-  ordinary bound handler.
+  ordinary handler.
 
 Correctness contract (the reason this is safe to switch on by
 default): a fused block produces *bit-identical* simulated statistics
@@ -48,6 +49,7 @@ fused.  ``Features.superops=False`` ablates the layer independently of
 from __future__ import annotations
 
 import builtins
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.opcodes import ArithOp, Op, TestOp
@@ -137,10 +139,27 @@ def default_table() -> FusionTable:
     return _default
 
 
+#: Distinct block sources kept compiled per process.  Images never seen
+#: before still share most blocks with earlier ones (same predicates,
+#: same operand registers), so a bounded memo serves them too: one-shot
+#: calls over the 14 PLM programs, a quarter of them on never-seen
+#: queries, settle at about 235 sources (2 MB of source text).
+COMPILE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compile_block(source: str, address: int):
+    """``compile()`` of one generated block source, memoized per
+    process.  Everything machine-specific reaches the closure as a
+    default argument bound at ``exec`` time, so one code object serves
+    every machine whose block generates the same source."""
+    return compile(source, f"<superop:{address}>", "exec")
+
+
 class _Demote(Exception):
     """Raised by an inline emitter on an operand shape it cannot bake
     (non-integer register index, unlinked target...); the instruction
-    is emitted through its bound handler instead."""
+    is emitted through its handler instead."""
 
 
 class _Gen:
@@ -151,7 +170,7 @@ class _Gen:
     def __init__(self, fixed_env: Dict[str, object]) -> None:
         self.lines: List[str] = []
         self._fixed_env = fixed_env
-        self.env: Dict[str, object] = {"m": fixed_env["m"]}
+        self.env: Dict[str, object] = {}
         self._const_names: Dict[int, str] = {}
         self._counter = 0
 
@@ -210,7 +229,9 @@ class SuperopFuser:
     stats, the code-fetch bound method — see the stability notes on
     :meth:`Machine.reset_for_reuse`); per-run state (``stats``, the
     fused memory closures, the recent-PC ring index) is fetched inside
-    each closure call.
+    each closure call.  The machine itself is not captured: closures
+    take it as their one argument, so the stubs and closures stored in
+    the machine's block table hold no reference back to it.
     """
 
     def __init__(self, machine, table: Optional[FusionTable] = None) -> None:
@@ -219,7 +240,6 @@ class SuperopFuser:
         from repro.core.machine import (CP_ALT, ENV_CE, ENV_CP, ENV_Y0,
                                         _RECENT_MASK)
         from repro.core.registers import SHADOW_ALT, SHADOW_H, SHADOW_TR
-        self.machine = machine
         self.table = default_table() if table is None else table
         self.fused_built = 0
         self._env_y0 = ENV_Y0
@@ -244,7 +264,6 @@ class SuperopFuser:
         self._nil_word = machine.symbols.atom_word("[]")
         from repro.core import word as _word
         self._fixed_env: Dict[str, object] = {
-            "m": machine,
             "cells": machine.regs.cells,
             "MEM": memory,
             "cfetch": memory.code_fetch,
@@ -279,59 +298,6 @@ class SuperopFuser:
             "MKD": _word.make_data_ptr,
             "MKC": _word.make_code_ptr,
         }
-        self._emitters: Dict[Op, Callable] = {
-            Op.CALL: self._e_call,
-            Op.EXECUTE: self._e_execute,
-            Op.PROCEED: self._e_proceed,
-            Op.JUMP: self._e_jump,
-            Op.HALT: self._e_halt,
-            Op.FAIL: self._e_fail,
-            Op.SWITCH_ON_TERM: self._e_switch_on_term,
-            Op.SWITCH_ON_CONSTANT: self._e_switch_on_constant,
-            Op.SWITCH_ON_STRUCTURE: self._e_switch_on_structure,
-            Op.TRY: self._e_try,
-            Op.RETRY: self._e_retry,
-            Op.TRUST: self._e_trust,
-            Op.TRY_ME_ELSE: self._e_try_me_else,
-            Op.RETRY_ME_ELSE: self._e_retry_me_else,
-            Op.TRUST_ME: self._e_trust_me,
-            Op.PUT_UNSAFE_VALUE: self._e_put_unsafe_value,
-            Op.TEST: self._e_test,
-            Op.ARITH: self._e_arith,
-            Op.GEN_UNIFY: self._e_gen_unify,
-            Op.NECK: self._e_neck,
-            Op.NECK_CUT: self._e_neck_cut,
-            Op.CUT: self._e_cut,
-            Op.GET_LEVEL: self._e_get_level,
-            Op.ALLOCATE: self._e_allocate,
-            Op.DEALLOCATE: self._e_deallocate,
-            Op.MOVE2: self._e_move2,
-            Op.GET_X_VARIABLE: self._e_get_x_variable,
-            Op.GET_Y_VARIABLE: self._e_get_y_variable,
-            Op.GET_X_VALUE: self._e_get_x_value,
-            Op.GET_Y_VALUE: self._e_get_y_value,
-            Op.GET_CONSTANT: self._e_get_constant,
-            Op.GET_NIL: self._e_get_nil,
-            Op.GET_LIST: self._e_get_list,
-            Op.GET_STRUCTURE: self._e_get_structure,
-            Op.PUT_X_VARIABLE: self._e_put_x_variable,
-            Op.PUT_Y_VARIABLE: self._e_put_y_variable,
-            Op.PUT_X_VALUE: self._e_put_x_value,
-            Op.PUT_Y_VALUE: self._e_put_y_value,
-            Op.PUT_CONSTANT: self._e_put_constant,
-            Op.PUT_NIL: self._e_put_nil,
-            Op.PUT_LIST: self._e_put_list,
-            Op.PUT_STRUCTURE: self._e_put_structure,
-            Op.UNIFY_X_VARIABLE: self._e_unify_x_variable,
-            Op.UNIFY_Y_VARIABLE: self._e_unify_y_variable,
-            Op.UNIFY_X_VALUE: self._e_unify_x_value,
-            Op.UNIFY_Y_VALUE: self._e_unify_y_value,
-            Op.UNIFY_X_LOCAL_VALUE: self._e_unify_x_local_value,
-            Op.UNIFY_Y_LOCAL_VALUE: self._e_unify_y_local_value,
-            Op.UNIFY_CONSTANT: self._e_unify_constant,
-            Op.UNIFY_NIL: self._e_unify_nil,
-            Op.UNIFY_VOID: self._e_unify_void,
-        }
 
     def _data_index(self, zone: Zone, var: str) -> Tuple[str, int]:
         """(index-expression, tag-shift) of the data-cache line for an
@@ -348,23 +314,46 @@ class SuperopFuser:
     # entry point
     # ------------------------------------------------------------------
 
-    def fuse(self, address: int, steps: Tuple) -> Optional[Callable[[], None]]:
-        """Compile the block at ``address`` into one closure, or return
-        ``None`` when the profile says it is not worth fusing."""
+    def matches(self, steps: Tuple) -> bool:
+        """Whether the profile says the block is worth fusing."""
         ops = tuple(step[4].op for step in steps)
         if not self.table.matches(ops):
-            return None
-        if len(steps) == 1 and ops[0] not in self._emitters:
-            # A call-tier closure for one instruction saves nothing
-            # over the per-step loop.
-            return None
+            return False
+        # A call-tier closure for one instruction saves nothing over
+        # the per-step loop.
+        return len(ops) > 1 or ops[0] in self._emitters
+
+    def fuse(self, address: int, steps: Tuple) -> Callable[[object], None]:
+        """Build the closure for the block at ``address``; it is called
+        as ``closure(machine)``.  The code object comes from the
+        per-process memo, so only the first machine to fuse a given
+        block source pays for ``compile()``."""
         source, env = self._generate(address, steps)
-        code = compile(source, f"<superop:{address}>", "exec")
         namespace: Dict[str, object] = {"__builtins__": builtins}
         namespace.update(env)
-        exec(code, namespace)
+        exec(_compile_block(source, address), namespace)
         self.fused_built += 1
-        return namespace["_superop"]
+        # Popped, not read: a function left in its own globals is a
+        # reference cycle.
+        return namespace.pop("_superop")
+
+    def stub(self, address: int, steps: Tuple) -> Callable[[object], None]:
+        """A placeholder for the fused slot of the block at ``address``:
+        on its first call it fuses the block, patches the machine's
+        table entry with the closure and runs it (fusion on first
+        entry, so blocks that never run never pay for generation).
+        The table is reached through the machine passed in, not
+        captured, so the stub holds no reference back to it."""
+        fuser = self
+
+        def fuse_on_entry(machine) -> None:
+            closure = fuser.fuse(address, steps)
+            entries = machine._predecoded.entries
+            _, cost, instrs, infers, _ = entries[address]
+            entries[address] = ((), cost, instrs, infers, closure)
+            closure(machine)
+
+        return fuse_on_entry
 
     # ------------------------------------------------------------------
     # source generation
@@ -403,7 +392,7 @@ class SuperopFuser:
             if emitter is not None:
                 mark = len(body)
                 try:
-                    emitter(chunk)
+                    emitter(self, chunk)
                     emitted = True
                 except _Demote:
                     del body[mark:]
@@ -444,7 +433,7 @@ class SuperopFuser:
         lines.append("        cs.read_hits += h_")
 
         params = ", ".join(f"{name}={name}" for name in gen.env)
-        header = f"def _superop({params}):"
+        header = f"def _superop(m, {params}):"
         return header + "\n" + "\n".join(lines) + "\n", gen.env
 
     # ------------------------------------------------------------------
@@ -1127,6 +1116,63 @@ class SuperopFuser:
         if count > 1:
             c.put(f"m.cycles += {count - 1}")
 
+    #: opcode -> inline emitter, called as ``emitter(fuser, chunk)``.
+    #: Plain functions, not bound methods: a fuser holding bound
+    #: methods of itself would be a reference cycle.
+    _emitters: Dict[Op, Callable[["SuperopFuser", "_Chunk"], None]] = {
+        Op.CALL: _e_call,
+        Op.EXECUTE: _e_execute,
+        Op.PROCEED: _e_proceed,
+        Op.JUMP: _e_jump,
+        Op.HALT: _e_halt,
+        Op.FAIL: _e_fail,
+        Op.SWITCH_ON_TERM: _e_switch_on_term,
+        Op.SWITCH_ON_CONSTANT: _e_switch_on_constant,
+        Op.SWITCH_ON_STRUCTURE: _e_switch_on_structure,
+        Op.TRY: _e_try,
+        Op.RETRY: _e_retry,
+        Op.TRUST: _e_trust,
+        Op.TRY_ME_ELSE: _e_try_me_else,
+        Op.RETRY_ME_ELSE: _e_retry_me_else,
+        Op.TRUST_ME: _e_trust_me,
+        Op.PUT_UNSAFE_VALUE: _e_put_unsafe_value,
+        Op.TEST: _e_test,
+        Op.ARITH: _e_arith,
+        Op.GEN_UNIFY: _e_gen_unify,
+        Op.NECK: _e_neck,
+        Op.NECK_CUT: _e_neck_cut,
+        Op.CUT: _e_cut,
+        Op.GET_LEVEL: _e_get_level,
+        Op.ALLOCATE: _e_allocate,
+        Op.DEALLOCATE: _e_deallocate,
+        Op.MOVE2: _e_move2,
+        Op.GET_X_VARIABLE: _e_get_x_variable,
+        Op.GET_Y_VARIABLE: _e_get_y_variable,
+        Op.GET_X_VALUE: _e_get_x_value,
+        Op.GET_Y_VALUE: _e_get_y_value,
+        Op.GET_CONSTANT: _e_get_constant,
+        Op.GET_NIL: _e_get_nil,
+        Op.GET_LIST: _e_get_list,
+        Op.GET_STRUCTURE: _e_get_structure,
+        Op.PUT_X_VARIABLE: _e_put_x_variable,
+        Op.PUT_Y_VARIABLE: _e_put_y_variable,
+        Op.PUT_X_VALUE: _e_put_x_value,
+        Op.PUT_Y_VALUE: _e_put_y_value,
+        Op.PUT_CONSTANT: _e_put_constant,
+        Op.PUT_NIL: _e_put_nil,
+        Op.PUT_LIST: _e_put_list,
+        Op.PUT_STRUCTURE: _e_put_structure,
+        Op.UNIFY_X_VARIABLE: _e_unify_x_variable,
+        Op.UNIFY_Y_VARIABLE: _e_unify_y_variable,
+        Op.UNIFY_X_VALUE: _e_unify_x_value,
+        Op.UNIFY_Y_VALUE: _e_unify_y_value,
+        Op.UNIFY_X_LOCAL_VALUE: _e_unify_x_local_value,
+        Op.UNIFY_Y_LOCAL_VALUE: _e_unify_y_local_value,
+        Op.UNIFY_CONSTANT: _e_unify_constant,
+        Op.UNIFY_NIL: _e_unify_nil,
+        Op.UNIFY_VOID: _e_unify_void,
+    }
+
 
 class _Chunk:
     """Emission context for one instruction inside a fused block."""
@@ -1316,12 +1362,12 @@ class _Chunk:
         self.put("            raise")
 
     def emit_call_tier(self, step: Tuple) -> None:
-        """Dispatch through the bound handler (opcodes without an
+        """Dispatch through the handler (opcodes without an
         inline emitter, or inline ones demoted on odd operands), with
         the per-step loop's deviation check on the way out."""
         handler_name = self.gen.const(step[0], "H")
         instr_name = self.gen.const(self.instr, "I")
-        self.put(f"{handler_name}({instr_name})")
+        self.put(f"{handler_name}(m, {instr_name})")
         if not self.is_last:
             self.put(f"if m.p != {self.fall_through} or not m.running:")
             self.settle(1)

@@ -19,7 +19,7 @@ restores each cell to an unbound self-reference.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from repro.core.tags import Zone
 from repro.core.word import Word, make_data_ptr, make_unbound
@@ -31,12 +31,16 @@ class Trail:
     The stack itself lives in the TRAIL zone of simulated memory; this
     class owns the top-of-stack register and the comparator logic, and
     reads/writes entries through the machine's memory callbacks so
-    cache behaviour is modelled like any other stack.
+    cache behaviour is modelled like any other stack.  The machine
+    binds those callbacks only while it runs (they are its own
+    accessors, and holding them between runs would make the machine a
+    reference cycle).
     """
 
     def __init__(self, base: int,
-                 read_word: Callable[[int, Zone], Word],
-                 write_word: Callable[[int, Word, Zone], None]):
+                 read_word: Optional[Callable[[int, Zone], Word]] = None,
+                 write_word: Optional[Callable[[int, Word, Zone], None]]
+                 = None):
         self.base = base
         self.top = base                      # TR register
         self._read = read_word

@@ -382,11 +382,6 @@ class MemorySystem:
         code_cache = self.code_cache
         main = self.main_memory
         mmu = self.mmu
-        entries = {}
-        for virtual_page, code_space in mmu._touched:
-            entry = mmu._table(code_space)[virtual_page]
-            entries[(virtual_page, code_space)] = (entry.status,
-                                                   entry.physical_page)
         return {
             "data_tags": list(data_cache.tags),
             "data_dirty": list(data_cache.dirty),
@@ -399,7 +394,7 @@ class MemorySystem:
                 "words_written": main.words_written,
             },
             "mmu": {
-                "entries": entries,
+                "entries": mmu.entries(),
                 "next_free_page": mmu.next_free_page,
                 "faults": mmu.faults,
                 "translations": mmu.translations,
@@ -432,17 +427,7 @@ class MemorySystem:
         self.main_memory.words_written = main["words_written"]
         mmu = self.mmu
         saved = state["mmu"]
-        for virtual_page, code_space in mmu._touched:
-            entry = mmu._table(code_space)[virtual_page]
-            entry.status = 0
-            entry.physical_page = 0
-        mmu._touched.clear()
-        for (virtual_page, code_space), (status, physical) \
-                in saved["entries"].items():
-            entry = mmu._table(code_space)[virtual_page]
-            entry.status = status
-            entry.physical_page = physical
-            mmu._touched.add((virtual_page, code_space))
+        mmu.load_entries(saved["entries"])
         mmu.next_free_page = saved["next_free_page"]
         mmu.faults = saved["faults"]
         mmu.translations = saved["translations"]

@@ -14,12 +14,18 @@ and the round trip is modelled with a configurable cycle charge.
 
 The model allocates physical pages on demand from the 32 MB board
 (2048 physical pages of 16K words each with 1 Mbit parts).
+
+Host representation: each space's table is a dict from virtual page to
+:class:`PageTableEntry`, and an entry is created the first time its
+page is mapped.  A page with no entry reads as an invalid (all-zero)
+entry, so the modelled RAM is still 16K entries per space; only the
+host no longer builds 32K objects per machine that a run never maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.tags import PAGE_SIZE_WORDS, page_number, page_offset
 from repro.errors import PageFault, ProtectionFault
@@ -59,10 +65,10 @@ class MMU:
     def __init__(self, physical_pages: int = 2048,
                  page_fault_cycles: int = 2000,
                  demand_paging: bool = True):
-        self.data_table: List[PageTableEntry] = [
-            PageTableEntry() for _ in range(VIRTUAL_PAGES)]
-        self.code_table: List[PageTableEntry] = [
-            PageTableEntry() for _ in range(VIRTUAL_PAGES)]
+        #: virtual page -> entry, materialized on the page's first map;
+        #: an absent page is an invalid entry.
+        self.data_table: Dict[int, PageTableEntry] = {}
+        self.code_table: Dict[int, PageTableEntry] = {}
         self.physical_pages = physical_pages
         self.page_fault_cycles = page_fault_cycles
         self.demand_paging = demand_paging
@@ -70,17 +76,45 @@ class MMU:
         self.next_free_page = 0
         self.faults = 0
         self.translations = 0
-        # Every (virtual_page, code_space) pair ever installed, so
-        # reset() can clear exactly the entries that were touched
-        # instead of rebuilding 32K PageTableEntry objects — the
-        # rebuild would cost milliseconds per reuse, longer than a
-        # short query runs.
-        self._touched: set = set()
 
     # -- host/runtime interface ------------------------------------------------
 
-    def _table(self, code_space: bool) -> List[PageTableEntry]:
+    def _table(self, code_space: bool) -> Dict[int, PageTableEntry]:
         return self.code_table if code_space else self.data_table
+
+    def _entry(self, virtual_page: int,
+               code_space: bool) -> PageTableEntry:
+        """The entry for ``virtual_page``, materialized if absent;
+        pages outside the 16K-entry RAM raise ``IndexError``."""
+        table = self._table(code_space)
+        entry = table.get(virtual_page)
+        if entry is None:
+            if not 0 <= virtual_page < VIRTUAL_PAGES:
+                raise IndexError(
+                    f"virtual page {virtual_page} outside the "
+                    f"{VIRTUAL_PAGES}-entry page table")
+            entry = table[virtual_page] = PageTableEntry()
+        return entry
+
+    def entries(self) -> Dict[tuple, tuple]:
+        """``{(virtual_page, code_space): (status, physical_page)}`` for
+        every materialized entry — the only ones that can differ from
+        the power-on state (timing-state checkpoints)."""
+        return {(virtual_page, code_space): (entry.status,
+                                             entry.physical_page)
+                for code_space, table in ((False, self.data_table),
+                                          (True, self.code_table))
+                for virtual_page, entry in table.items()}
+
+    def load_entries(self, entries: Dict[tuple, tuple]) -> None:
+        """Replace both page tables with an :meth:`entries` snapshot."""
+        self.data_table.clear()
+        self.code_table.clear()
+        for (virtual_page, code_space), (status, physical) \
+                in entries.items():
+            entry = self._entry(virtual_page, code_space)
+            entry.status = status
+            entry.physical_page = physical
 
     def map_page(self, virtual_page: int, code_space: bool = False,
                  writable: bool = True,
@@ -93,26 +127,22 @@ class MMU:
                                 code_space=code_space)
             physical_page = self.next_free_page
             self.next_free_page += 1
-        entry = self._table(code_space)[virtual_page]
+        entry = self._entry(virtual_page, code_space)
         entry.physical_page = physical_page
         entry.status = VALID | (WRITABLE if writable else 0) \
             | (CODE_SPACE if code_space else 0)
-        self._touched.add((virtual_page, code_space))
         return physical_page
 
     def reset(self) -> None:
         """Return the MMU to its just-constructed state (engine reuse).
 
-        Clears only the page-table entries :meth:`map_page` ever
-        touched, zeroes the fault/translation counters, releases every
-        physical page and restores the constructor's ``demand_paging``
-        setting (the fault injector flips it while attached).
+        Drops every materialized page-table entry, zeroes the
+        fault/translation counters, releases every physical page and
+        restores the constructor's ``demand_paging`` setting (the fault
+        injector flips it while attached).
         """
-        for virtual_page, code_space in self._touched:
-            entry = self._table(code_space)[virtual_page]
-            entry.status = 0
-            entry.physical_page = 0
-        self._touched.clear()
+        self.data_table.clear()
+        self.code_table.clear()
         self.next_free_page = 0
         self.faults = 0
         self.translations = 0
@@ -122,24 +152,27 @@ class MMU:
         """Invalidate a translation (used when re-zoning a data page into
         the code space after batch compilation, section 3.2.1, and by the
         fault injector to plant transient page faults)."""
-        self._table(code_space)[virtual_page].status = 0
+        entry = self._table(code_space).get(virtual_page)
+        if entry is not None:
+            entry.status = 0
 
     def resident_pages(self, code_space: bool = False) -> "List[int]":
         """Virtual pages with a valid translation, ascending (used by
         the fault injector to pick an eviction victim and by paging
         diagnostics)."""
-        return [vpage for vpage, entry
-                in enumerate(self._table(code_space)) if entry.valid]
+        return sorted(vpage for vpage, entry
+                      in self._table(code_space).items() if entry.valid)
 
     def is_mapped(self, virtual_page: int, code_space: bool = False) -> bool:
         """Whether a virtual page currently has a valid translation."""
-        return self._table(code_space)[virtual_page].valid
+        entry = self._table(code_space).get(virtual_page)
+        return entry is not None and entry.valid
 
     def rezone_data_page_to_code(self, virtual_page: int) -> None:
         """The section 3.2.1 hand-over: invalidate the virtual data page
         and attach its physical page to the code space."""
-        data_entry = self.data_table[virtual_page]
-        if not data_entry.valid:
+        data_entry = self.data_table.get(virtual_page)
+        if data_entry is None or not data_entry.valid:
             raise PageFault(f"data page {virtual_page} not mapped",
                             virtual_page=virtual_page)
         physical = data_entry.physical_page
@@ -160,9 +193,10 @@ class MMU:
         """
         self.translations += 1
         vpage = page_number(address)
-        entry = self._table(code_space)[vpage]
+        entry = (self.code_table if code_space
+                 else self.data_table).get(vpage)
         fault_cycles = 0
-        if not entry.valid:
+        if entry is None or not entry.status & VALID:
             if not self.demand_paging:
                 raise PageFault(
                     f"no translation for virtual page {vpage} "

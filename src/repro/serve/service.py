@@ -1481,7 +1481,9 @@ class QueryService:
                     index=index, program=name, query=text,
                     error=QueryError(kind=err.kind, message=str(err),
                                      cycles=err.cycles, transient=True))
-            except MachineError as err:
+            except Exception as err:  # noqa: BLE001 — batch must finish
+                # Same shape as the worker and fallback paths: any
+                # failure of one slot is that slot's typed error.
                 self._counters["failed"] += 1
                 results[index] = ServiceResult(
                     index=index, program=name, query=text,

@@ -42,10 +42,24 @@ class TestTranslation:
         assert d != c
 
     def test_page_table_has_16k_entries_per_space(self):
+        # Entries are materialized on first map, so the 16K range is
+        # pinned by its edges: the last page maps, the next one raises.
         assert VIRTUAL_PAGES == 1 << 14
         mmu = MMU()
-        assert len(mmu.data_table) == VIRTUAL_PAGES
-        assert len(mmu.code_table) == VIRTUAL_PAGES
+        for code_space in (False, True):
+            mmu.map_page(VIRTUAL_PAGES - 1, code_space=code_space)
+            assert mmu.is_mapped(VIRTUAL_PAGES - 1, code_space=code_space)
+            with pytest.raises(IndexError):
+                mmu.map_page(VIRTUAL_PAGES, code_space=code_space)
+            assert not mmu.is_mapped(0, code_space=code_space)
+
+    def test_entries_materialize_on_first_map(self):
+        mmu = MMU()
+        assert not mmu.data_table and not mmu.code_table
+        mmu.translate(3 * PAGE_SIZE_WORDS, is_write=False)
+        assert list(mmu.data_table) == [3] and not mmu.code_table
+        mmu.reset()
+        assert not mmu.data_table and not mmu.code_table
 
 
 class TestProtection:

@@ -98,6 +98,37 @@ def test_cycle_budget_is_a_per_slot_failure():
     assert results[1].ok
 
 
+def _error_shape(results):
+    return [(r.error.kind if r.error else None, r.error.transient
+             if r.error else None, r.solutions) for r in results]
+
+
+def test_non_machine_error_takes_the_same_shape_on_every_path():
+    """A builtin that raises a plain Python exception fails its own
+    slot, with the same typed error in-process and on a worker, and
+    its batchmate is still served."""
+    batch = [("facts", "functor(T, foo, -1)"), ("facts", "colour(C)")]
+    shapes = []
+    for workers in (0, 1):
+        with QueryService(PROGRAMS, workers=workers) as service:
+            results = service.run_many(batch)
+        assert results[0].error.kind == "ValueError"
+        assert results[1].ok
+        shapes.append(_error_shape(results))
+    assert shapes[0] == shapes[1]
+
+
+def test_session_step_with_non_machine_error_fails_typed():
+    from repro.serve.session import FAILED, SessionService
+    with SessionService(PROGRAMS, workers=0) as service:
+        bad = service.open("facts", "functor(T, foo, -1)")
+        good = service.open("facts", "colour(C)")
+        outcomes = service.advance([bad, good])
+    assert outcomes[0].status == FAILED
+    assert outcomes[0].error.kind == "ValueError"
+    assert outcomes[1].solution is not None
+
+
 def test_service_result_holds_no_machine():
     with QueryService(FACTS, workers=0) as service:
         result = service.run("colour(C)")
