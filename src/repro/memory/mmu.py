@@ -120,6 +120,8 @@ class MMU:
                  writable: bool = True,
                  physical_page: Optional[int] = None) -> int:
         """Install a translation; allocates a physical page if needed."""
+        # Range-checked first: a bad page must not take a physical one.
+        entry = self._entry(virtual_page, code_space)
         if physical_page is None:
             if self.next_free_page >= self.physical_pages:
                 raise PageFault("out of physical memory (32 MB board full)",
@@ -127,7 +129,6 @@ class MMU:
                                 code_space=code_space)
             physical_page = self.next_free_page
             self.next_free_page += 1
-        entry = self._entry(virtual_page, code_space)
         entry.physical_page = physical_page
         entry.status = VALID | (WRITABLE if writable else 0) \
             | (CODE_SPACE if code_space else 0)

@@ -38,7 +38,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.serve.service import QueryService
 
@@ -125,6 +125,29 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+class DispositionLedger:
+    """Exactly-once accounting for a soak: each id (an arrival, a
+    session) ends in one disposition kind; a second disposal is kept as
+    a duplicate instead of overwriting the first."""
+
+    def __init__(self):
+        self.kinds: Dict[int, str] = {}
+        self.duplicates: List[Tuple[int, str]] = []
+
+    def dispose(self, ident: int, kind: str) -> bool:
+        """Record ``ident``'s disposition; ``False`` if it had one."""
+        if ident in self.kinds:
+            self.duplicates.append((ident, kind))
+            return False
+        self.kinds[ident] = kind
+        return True
+
+    def exactly_once(self, expected: Iterable[int]) -> bool:
+        """Whether every expected id, and nothing else, was disposed of
+        exactly once."""
+        return not self.duplicates and set(self.kinds) == set(expected)
+
+
 @dataclass
 class SoakReport:
     """What one open-loop soak observed."""
@@ -192,7 +215,8 @@ def run_soak(service: QueryService,
 
     report = SoakReport(offered=len(arrivals), offered_qps=offered_qps,
                         elapsed_s=0.0, waves=0, budget_s=budget_s)
-    dispositions: Dict[int, str] = {}
+    ledger = DispositionLedger()
+    submitted_ids: List[int] = []
     latencies: List[float] = []
     queue: List[Arrival] = sorted(arrivals, key=lambda a: a.offset_s)
     cursor = 0                       # first not-yet-submitted arrival
@@ -216,6 +240,7 @@ def run_soak(service: QueryService,
             wave = [backlog.popleft()
                     for _ in range(min(max_wave, len(backlog)))]
         report.submitted += len(wave)
+        submitted_ids.extend(a.id for a in wave)
         # Re-seed the chaos per wave: a policy's plans are a pure
         # function of (seed, slot, attempt), and successive small
         # waves reuse the same low slot indices — without this every
@@ -231,12 +256,13 @@ def run_soak(service: QueryService,
         done = time.monotonic() - start
         report.waves += 1
         for arrival, result in zip(wave, results):
-            if arrival.id in dispositions:
+            kind = ("ok" if result.ok else "shed"
+                    if result.error.kind == "Shed" else result.error.kind)
+            if not ledger.dispose(arrival.id, kind):
                 report.mismatches.append(
                     f"arrival {arrival.id} disposed twice")
                 continue
             if result.ok:
-                dispositions[arrival.id] = "ok"
                 report.ok += 1
                 latencies.append(done - arrival.offset_s)
                 if check_solutions:
@@ -249,31 +275,19 @@ def run_soak(service: QueryService,
                             f"arrival {arrival.id} "
                             f"({arrival.program!r}): solutions "
                             f"differ from fault-free reference")
-            elif result.error.kind == "Shed":
-                dispositions[arrival.id] = "shed"
+            elif kind == "shed":
                 report.shed += 1
             else:
-                kind = result.error.kind
-                dispositions[arrival.id] = kind
                 report.errors[kind] = report.errors.get(kind, 0) + 1
 
     report.elapsed_s = time.monotonic() - start
     report.unsubmitted = report.offered - report.submitted
-    report.accounted = len(dispositions)
-    if budget_s is None:
-        # Without a budget everything offered must have been submitted
-        # and disposed exactly once.
-        report.accounting_ok = (
-            report.accounted == len(arrivals)
-            and set(dispositions) == {a.id for a in arrivals}
-            and not any("disposed twice" in m for m in report.mismatches))
-    else:
-        # Time-boxed: exactly-once over what was submitted, and the
-        # budget cut must account for the rest with nothing lost.
-        report.accounting_ok = (
-            report.accounted == report.submitted
-            and report.submitted + report.unsubmitted == report.offered
-            and not any("disposed twice" in m for m in report.mismatches))
+    report.accounted = len(ledger.kinds)
+    # Without a budget everything offered must have been submitted and
+    # disposed exactly once; time-boxed, exactly-once covers what was
+    # submitted (the budget cut accounts for the rest).
+    report.accounting_ok = ledger.exactly_once(
+        [a.id for a in arrivals] if budget_s is None else submitted_ids)
     if report.elapsed_s > 0:
         report.sustained_qps = report.ok / report.elapsed_s
     if report.submitted:
@@ -383,7 +397,7 @@ def run_session_soak(service: "SessionService",
     session_ids = [service.open(name, query) for name, query in draws]
     slot_of = {sid: index for index, sid in enumerate(session_ids)}
     streams: Dict[int, List[dict]] = {i: [] for i in range(spec.sessions)}
-    dispositions: Dict[int, str] = {}
+    ledger = DispositionLedger()
     abandoned: set = set()
     step_latencies: List[float] = []
     open_ids = list(session_ids)
@@ -418,7 +432,7 @@ def run_session_soak(service: "SessionService",
                 report.solutions_streamed += 1
                 still_open.append(session_id)
             elif outcome.status == DONE:
-                dispositions[slot] = "done"
+                ledger.dispose(slot, "done")
                 report.done += 1
                 if check_solutions:
                     expected = reference.get(draws[slot])
@@ -430,28 +444,28 @@ def run_session_soak(service: "SessionService",
                             f"session {slot} ({draws[slot][0]!r}): "
                             f"stream differs from reference")
             elif outcome.status == FAILED:
-                dispositions[slot] = "failed"
+                ledger.dispose(slot, "failed")
                 report.failed += 1
             else:
                 assert outcome.status == EXPIRED   # only via races
-                dispositions[slot] = "expired"
+                ledger.dispose(slot, "expired")
                 report.expired += 1
         # Sweep on the synthetic clock: one sweep per interval of
         # rounds, plus the reaped sessions leave the open set.
         for session_id in reaper.tick(now=report.rounds * 1.0):
-            dispositions[slot_of[session_id]] = "expired"
+            ledger.dispose(slot_of[session_id], "expired")
             report.expired += 1
         open_ids = [sid for sid in still_open
-                    if slot_of[sid] not in dispositions]
+                    if slot_of[sid] not in ledger.kinds]
 
     # Final sweep: anything still leased-out lapsed (abandoned late).
     for session_id in reaper.tick(now=(report.rounds + sweep_interval)
                                   * 2.0):
-        dispositions[slot_of[session_id]] = "expired"
+        ledger.dispose(slot_of[session_id], "expired")
         report.expired += 1
 
     report.elapsed_s = time.monotonic() - start
-    report.accounted = len(dispositions)
+    report.accounted = len(ledger.kinds)
     counters = service.counters
     settled = (counters["sessions_done"] + counters["sessions_failed"]
                + counters["leases_expired"] + counters["sessions_closed"])
@@ -459,13 +473,14 @@ def run_session_soak(service: "SessionService",
     report.hibernation_spills = store.spills
     report.hibernation_wakes = store.wakes
     report.accounting_ok = (
-        report.accounted == spec.sessions
+        ledger.exactly_once(range(spec.sessions))
         and counters["sessions_opened"] == settled
         and service.active_sessions == 0
         and len(store) == 0)
     if not report.accounting_ok:
         report.mismatches.append(
-            f"accounting: {report.accounted}/{spec.sessions} disposed, "
+            f"accounting: {report.accounted}/{spec.sessions} disposed "
+            f"({len(ledger.duplicates)} twice), "
             f"opened {counters['sessions_opened']} vs settled {settled}, "
             f"active {service.active_sessions}, store {len(store)}")
     report.p50_step_latency_s = percentile(step_latencies, 50)

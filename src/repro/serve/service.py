@@ -17,6 +17,13 @@ Architecture
     independent of which worker (and which machine incarnation) served
     a query.
 
+    One executor, :func:`_execute_slot`, runs a query slot on an
+    engine pool for every path: the worker loop, the ``workers=0``
+    pool and the degraded fallback.  It resumes from a pickled
+    checkpoint, detects a paused stop-at-solution step and types a
+    failure in one place, so every path returns the same outcome and
+    the same :class:`QueryError` shape for the same query.
+
 Spawn safety and image transport
     Workers are started with the ``spawn`` method — nothing is
     inherited by fork, so the protocol must ship everything explicitly.
@@ -138,7 +145,7 @@ from repro.compiler.linker import LinkedImage
 from repro.core.machine import Machine
 from repro.core.statistics import RunStats
 from repro.core.traps import MachineCheckpoint
-from repro.errors import KCMError, MachineError
+from repro.errors import KCMError
 from repro.serve.cache import ImageCache, default_image_cache, image_key
 from repro.serve.chaos import ChaosKilled, ChaosPolicy
 from repro.serve.overload import (
@@ -300,8 +307,10 @@ class ServiceResult:
 class EnginePool:
     """Warm machines keyed by image, reset between queries.
 
-    Shared by the worker processes and the ``workers=0`` in-process
-    path, so both execute queries through identical code.  The pool is
+    Every serving path holds one — each worker process, the
+    ``workers=0`` service and the degraded fallback — and runs it
+    through :func:`_execute_slot`, so all of them execute queries
+    through identical code.  The pool is
     LRU-bounded on machines; evicting a machine is always safe because
     a fresh machine over the same image produces bit-identical results
     (the warm-reuse determinism guarantee).
@@ -484,15 +493,19 @@ class EnginePool:
 
 
 def _capture_error(err: BaseException,
-                   machine: Optional[Machine]) -> QueryError:
-    if machine is not None:
+                   machine: Optional[Machine] = None) -> QueryError:
+    kind = type(err).__name__
+    if isinstance(err, DeadlineAbandoned):
+        # A cooperative abandonment reports the kind its deadline was
+        # dispatched under, at the cycle of the stop check.
+        kind, cycles = err.kind, err.cycles
+    elif machine is not None:
         cycles = machine.cycles
     else:
         # MachineError carries the partial run statistics; compile-time
         # errors carry neither and report no cycle count.
         stats = getattr(err, "stats", None)
         cycles = stats.cycles if stats is not None else None
-    kind = type(err).__name__
     return QueryError(
         kind=kind,
         message=str(err),
@@ -500,6 +513,54 @@ def _capture_error(err: BaseException,
         cycles=cycles,
         transient=is_transient(kind),
     )
+
+
+def _failed_outcome(err: BaseException,
+                    machine: Optional[Machine] = None) -> tuple:
+    """The ``("err", QueryError, partial_stats)`` outcome of a slot
+    that raised ``err``."""
+    return ("err", _capture_error(err, machine), getattr(err, "stats", None))
+
+
+def _execute_slot(pool: EnginePool, key: str, image: LinkedImage,
+                  opts: dict, payload: Optional[bytes],
+                  on_checkpoint: Optional[Callable] = None,
+                  on_slice: Optional[Callable[[], None]] = None) -> tuple:
+    """Run one query slot on ``pool``: the one executor behind every
+    serving path (worker, ``workers=0`` and the degraded fallback).
+
+    ``payload`` is a pickled :class:`MachineCheckpoint` to resume from
+    (a retry's last checkpoint or a session step's token), or ``None``
+    to run from the query entry.  Returns the outcome tuple a worker
+    ships: ``("ok", solutions, stats, output, seconds)``, ``("paused",
+    solutions, stats, output, seconds, checkpoint_payload)`` for a
+    stop-at-solution step with search left, or ``("err", QueryError,
+    partial_stats)``.  :class:`ChaosKilled`, ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate: in-process they interrupt the caller's
+    own process, and a worker handles them itself.
+    """
+    machine: Optional[Machine] = None
+    try:
+        resume_from = pickle.loads(payload) if payload is not None else None
+        machine, stats, seconds = pool.run(
+            key, image, opts, on_checkpoint=on_checkpoint,
+            resume_from=resume_from, on_slice=on_slice)
+        output = "".join(machine.output)
+        if (machine.solution_paused
+                and not machine.halted and not machine.exhausted):
+            # Stop-at-solution: the engine paused with a fresh answer
+            # and more search left.  Its checkpoint is the resume token
+            # — the machine itself stays only as a warm pool entry; the
+            # parent owns the session state (a later step may resume on
+            # any worker).
+            return ("paused", machine.solutions, stats, output, seconds,
+                    pickle.dumps(MachineCheckpoint.capture(machine),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+        return ("ok", machine.solutions, stats, output, seconds)
+    except ChaosKilled:
+        raise
+    except Exception as err:    # noqa: BLE001 — one slot's typed error
+        return _failed_outcome(err, machine)
 
 
 class _ResultSender:
@@ -684,77 +745,45 @@ def _worker_main(worker_id: int, task_queue, result_conn,
         _, key, tasks = message
         image = images.get(key)
         for index, attempt, opts, ckpt_payload in tasks:
-            machine: Optional[Machine] = None
+            deadline = opts.get("deadline_monotonic")
             try:
                 if image is None:
-                    sender.add((index, attempt, "err", QueryError(
+                    outcome = ("err", QueryError(
                         kind="ImageUnavailable",
                         message=f"image {key[:12]}... not registered "
                                 f"with worker {worker_id}",
-                        transient=True), None))
-                    continue
-                deadline = opts.get("deadline_monotonic")
-                if (deadline is not None
+                        transient=True), None)
+                elif (deadline is not None
                         and opts.get("deadline_check_cycles") is not None
                         and time.monotonic() >= deadline):
                     # Expired while queued behind its chunk-mates: same
                     # cooperative abandonment, zero cycles spent.
-                    raise DeadlineAbandoned(
-                        opts.get("deadline_kind", "WallTimeout"), 0)
-                resume_from = (pickle.loads(ckpt_payload)
-                               if ckpt_payload is not None else None)
-                on_checkpoint = None
-                if opts.get("checkpoint_every") is not None:
-                    def on_checkpoint(ckpt, _index=index,
-                                      _attempt=attempt):
-                        sender.send_now(
-                            ("ckpt", worker_id, _index, _attempt,
-                             pickle.dumps(
-                                 ckpt,
-                                 protocol=pickle.HIGHEST_PROTOCOL)))
-                machine, stats, seconds = pool.run(
-                    key, image, opts,
-                    on_checkpoint=on_checkpoint, resume_from=resume_from,
-                    on_slice=sender.tick)
-                delay = opts.get("chaos_delay_s")
-                if delay:
-                    time.sleep(delay)
-                if (machine.solution_paused
-                        and not machine.halted and not machine.exhausted):
-                    # Stop-at-solution: the engine paused with a fresh
-                    # answer and more search left.  Ship its checkpoint
-                    # as the resume token — the machine itself stays
-                    # here only as a warm pool entry; the parent owns
-                    # the session state (a later step may resume on any
-                    # worker).
-                    sender.add((index, attempt, "paused",
-                                machine.solutions, stats,
-                                "".join(machine.output), seconds,
-                                pickle.dumps(
-                                    MachineCheckpoint.capture(machine),
-                                    protocol=pickle.HIGHEST_PROTOCOL)))
+                    outcome = _failed_outcome(DeadlineAbandoned(
+                        opts.get("deadline_kind", "WallTimeout"), 0))
                 else:
-                    sender.add((index, attempt, "ok", machine.solutions,
-                                stats, "".join(machine.output), seconds))
+                    on_checkpoint = None
+                    if opts.get("checkpoint_every") is not None:
+                        def on_checkpoint(ckpt, _index=index,
+                                          _attempt=attempt):
+                            sender.send_now(
+                                ("ckpt", worker_id, _index, _attempt,
+                                 pickle.dumps(
+                                     ckpt,
+                                     protocol=pickle.HIGHEST_PROTOCOL)))
+                    outcome = _execute_slot(pool, key, image, opts,
+                                            ckpt_payload,
+                                            on_checkpoint=on_checkpoint,
+                                            on_slice=sender.tick)
+                    delay = opts.get("chaos_delay_s")
+                    if delay:
+                        time.sleep(delay)
             except ChaosKilled:
                 sender.flush()
                 result_conn.close()
                 os._exit(_CHAOS_EXIT)
-            except DeadlineAbandoned as err:
-                # Cooperative deadline expiry: the worker survives, the
-                # task reports a typed transient failure, and the
-                # parent's reaper never has to kill anything.
-                sender.add((index, attempt, "err",
-                            QueryError(kind=err.kind, message=str(err),
-                                       cycles=err.cycles,
-                                       transient=True), None))
-            except MachineError as err:
-                sender.add((index, attempt, "err",
-                            _capture_error(err, machine),
-                            getattr(err, "stats", None)))
             except BaseException as err:  # noqa: BLE001 — pool survives
-                sender.add((index, attempt, "err",
-                            _capture_error(err, machine), None))
+                outcome = _failed_outcome(err)
+            sender.add((index, attempt) + outcome)
         sender.flush()
         tasks_since_collect += len(tasks)
         if tasks_since_collect >= _GC_DEFER_TASKS:
@@ -1338,7 +1367,7 @@ class QueryService:
             if not self._breaker.quarantined(key):
                 admitted.append(index)
                 continue
-            name, text = self._describe(queries, index)
+            name, text = self._normalize(queries[index])
             self._counters["quarantines"] += 1
             self._counters["failed"] += 1
             results[index] = ServiceResult(
@@ -1380,7 +1409,7 @@ class QueryService:
             if position < capacity:
                 admitted.append(index)
                 continue
-            name, text = self._describe(queries, index)
+            name, text = self._normalize(queries[index])
             priority = priorities[index] if priorities is not None else 0
             self._counters["sheds"] += 1
             results[index] = ServiceResult(
@@ -1399,10 +1428,6 @@ class QueryService:
             return self.default_program, query
         name, text = query
         return name, text
-
-    def _describe(self, queries: Sequence[Query],
-                  index: int) -> Tuple[str, str]:
-        return self._normalize(queries[index])
 
     # -- in-process serving ----------------------------------------------------
 
@@ -1437,58 +1462,76 @@ class QueryService:
                    step_payloads=None) -> None:
         pool = self._local_pool
         assert pool is not None
+        payloads = step_payloads or {}
         for index in runnable:
-            key, image = prepared[index]
-            name, text = self._describe(queries, index)
             if (batch_deadline is not None
                     and time.monotonic() >= batch_deadline):
-                self._counters["failed"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(
-                        "DeadlineExceeded",
-                        "batch deadline passed before the query was "
-                        "dispatched", transient=True, attempts=0))
+                results[index] = self._undispatched(queries, index)
                 continue
-            run_opts, _, _ = self._deadline_opts(opts, timeout_s,
-                                                 batch_deadline)
-            payload = (step_payloads.get(index)
-                       if step_payloads is not None else None)
-            resume_from = (pickle.loads(payload)
-                           if payload is not None else None)
-            machine: Optional[Machine] = None
-            try:
-                machine, stats, seconds = pool.run(
-                    key, image, run_opts, resume_from=resume_from)
-                self._counters["completed"] += 1
-                paused = (machine.solution_paused
-                          and not machine.halted and not machine.exhausted)
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    solutions=machine.solutions, stats=stats,
-                    output="".join(machine.output),
-                    host_seconds=seconds, paused=paused,
-                    session_payload=(pickle.dumps(
-                        MachineCheckpoint.capture(machine),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-                        if paused else None))
-            except DeadlineAbandoned as err:
-                self._counters["failed"] += 1
-                self._counters["deadline_abandons"] += 1
-                if err.kind == "WallTimeout":
-                    self._counters["timeouts"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(kind=err.kind, message=str(err),
-                                     cycles=err.cycles, transient=True))
-            except Exception as err:  # noqa: BLE001 — batch must finish
-                # Same shape as the worker and fallback paths: any
-                # failure of one slot is that slot's typed error.
-                self._counters["failed"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    stats=getattr(err, "stats", None),
-                    error=_capture_error(err, machine))
+            results[index] = self._run_in_process(
+                pool, queries, prepared, index, opts, timeout_s,
+                batch_deadline, payloads.get(index))
+
+    def _run_in_process(self, pool: EnginePool, queries, prepared,
+                        index: int, opts: dict,
+                        timeout_s: Optional[float],
+                        batch_deadline: Optional[float],
+                        payload: Optional[bytes],
+                        attempt: int = 1) -> ServiceResult:
+        """Execute slot ``index`` on a parent-side engine pool (the
+        ``workers=0`` pool or the degraded fallback).  A failure is the
+        slot's typed error, never a retry or a quarantine strike: the
+        parent cannot preempt or respawn itself."""
+        key, image = prepared[index]
+        run_opts, _, _ = self._deadline_opts(opts, timeout_s,
+                                             batch_deadline)
+        return self._slot_result(
+            queries, index, _execute_slot(pool, key, image, run_opts,
+                                          payload), attempt=attempt)
+
+    def _slot_result(self, queries, index: int, outcome: tuple,
+                     worker: int = -1, attempt: int = 1) -> ServiceResult:
+        """Finalise slot ``index`` from an :func:`_execute_slot`
+        outcome, counting it as completed or failed."""
+        name, text = self._normalize(queries[index])
+        if outcome[0] == "err":
+            _, error, partial_stats = outcome
+            error.attempts = attempt
+            self._count_abandon(error)
+            self._counters["failed"] += 1
+            return ServiceResult(index=index, program=name, query=text,
+                                 stats=partial_stats, error=error,
+                                 worker=worker)
+        status, solutions, stats, output, seconds = outcome[:5]
+        self._counters["completed"] += 1
+        return ServiceResult(
+            index=index, program=name, query=text, solutions=solutions,
+            stats=stats, output=output, worker=worker,
+            host_seconds=seconds, paused=(status == "paused"),
+            session_payload=outcome[5] if status == "paused" else None,
+            attempts=attempt)
+
+    def _count_abandon(self, error: QueryError) -> None:
+        """Count an engine-reported deadline expiry: the only source of
+        an ``err`` outcome with a deadline kind is a cooperative
+        abandonment (parent-side kills are counted by the reaper)."""
+        if error.kind in ("WallTimeout", "DeadlineExceeded"):
+            self._counters["deadline_abandons"] += 1
+            if error.kind == "WallTimeout":
+                self._counters["timeouts"] += 1
+
+    def _undispatched(self, queries, index: int,
+                      attempts: int = 0) -> ServiceResult:
+        """Fail slot ``index``: the batch deadline passed before it
+        was dispatched."""
+        name, text = self._normalize(queries[index])
+        self._counters["failed"] += 1
+        return ServiceResult(
+            index=index, program=name, query=text,
+            error=QueryError(
+                "DeadlineExceeded",
+                "batch deadline passed before the query was dispatched",
+                transient=True, attempts=attempts))
 
     # -- pooled serving --------------------------------------------------------
 
@@ -1754,12 +1797,6 @@ class QueryService:
         self._worker_last_key[worker_id] = key
         state.inflight[worker_id] = entries
 
-    def _dispatch(self, index: int, worker_id: int,
-                  state: _BatchState) -> None:
-        """Hand slot ``index`` alone to ``worker_id`` (a singleton
-        chunk; the collection loop goes through :meth:`_next_chunk`)."""
-        self._dispatch_chunk([index], worker_id, state)
-
     def _deliver(self, message, state: _BatchState) -> None:
         """Apply one worker message to the batch state."""
         kind, worker_id = message[0], message[1]
@@ -1791,19 +1828,12 @@ class QueryService:
     def _finish_outcome(self, outcome, worker_id: int,
                         state: _BatchState) -> None:
         """Finalise one task outcome out of a ``("done", ...)`` batch."""
-        index, attempt, status = outcome[0], outcome[1], outcome[2]
+        index, attempt = outcome[0], outcome[1]
         state.checkpoints.pop(index, None)
-        name, text = self._describe(state.queries, index)
-        if status in ("ok", "paused"):
-            solutions, stats, output, seconds = outcome[3:7]
-            payload = outcome[7] if status == "paused" else None
-            self._counters["completed"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                solutions=solutions, stats=stats, output=output,
-                worker=worker_id, host_seconds=seconds,
-                paused=(status == "paused"), session_payload=payload,
-                attempts=attempt)
+        if outcome[2] != "err":
+            state.results[index] = self._slot_result(
+                state.queries, index, outcome[2:], worker=worker_id,
+                attempt=attempt)
             return
         _, _, _, error, partial_stats = outcome
         # Worker-reported machine/compile failures are deterministic
@@ -1814,11 +1844,8 @@ class QueryService:
         # lost a race with a cache eviction: forget the ship record so
         # the retry re-ships a fresh copy.
         error.attempts = attempt
-        if error.kind in ("WallTimeout", "DeadlineExceeded"):
-            self._counters["deadline_abandons"] += 1
-            if error.kind == "WallTimeout":
-                self._counters["timeouts"] += 1
-        elif error.kind == "ImageUnavailable":
+        self._count_abandon(error)
+        if error.kind == "ImageUnavailable":
             if 0 <= worker_id < len(self._shipped):
                 self._shipped[worker_id].discard(state.prepared[index][0])
         self._dispose_failure(index, attempt, error, state,
@@ -1959,7 +1986,7 @@ class QueryService:
             if strike:
                 self._breaker.record(key, error.kind)
             if self._breaker.quarantined(key):
-                name, text = self._describe(state.queries, index)
+                name, text = self._normalize(state.queries[index])
                 self._counters["quarantines"] += 1
                 self._counters["failed"] += 1
                 state.results[index] = ServiceResult(
@@ -1991,7 +2018,7 @@ class QueryService:
             heapq.heappush(state.retry_ready,
                            (now + policy.delay_s(index, attempt), index))
             return
-        name, text = self._describe(state.queries, index)
+        name, text = self._normalize(state.queries[index])
         self._counters["failed"] += 1
         state.results[index] = ServiceResult(
             index=index, program=name, query=text, worker=worker_id,
@@ -2019,68 +2046,20 @@ class QueryService:
         for index in pending:
             if state.results[index] is not None:
                 continue
+            attempts = state.attempts.get(index, 0)
             if (state.batch_deadline is not None
                     and time.monotonic() >= state.batch_deadline):
-                name, text = self._describe(state.queries, index)
-                self._counters["failed"] += 1
-                state.results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(
-                        "DeadlineExceeded",
-                        "batch deadline passed before the degraded "
-                        "fallback reached the query", transient=True,
-                        attempts=state.attempts.get(index, 0)))
+                state.results[index] = self._undispatched(
+                    state.queries, index, attempts)
                 continue
-            self._run_fallback_slot(index, state)
-
-    def _run_fallback_slot(self, index: int, state: _BatchState) -> None:
-        """Execute one slot on the parent's fallback engine pool."""
-        key, image = state.prepared[index]
-        name, text = self._describe(state.queries, index)
-        attempt = state.attempts.get(index, 0) + 1
-        state.attempts[index] = attempt
-        self._counters["local_fallbacks"] += 1
-        payload = state.resume_payload.pop(index, None)
-        if payload is None:
-            payload = state.base_payload.get(index)
-        resume_from = (pickle.loads(payload)
-                       if payload is not None else None)
-        run_opts, _, _ = self._deadline_opts(
-            state.opts, state.timeout_s, state.batch_deadline)
-        machine: Optional[Machine] = None
-        try:
-            machine, stats, seconds = self._fallback_pool.run(
-                key, image, run_opts, resume_from=resume_from)
-            self._counters["completed"] += 1
-            paused = (machine.solution_paused
-                      and not machine.halted and not machine.exhausted)
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                solutions=machine.solutions, stats=stats,
-                output="".join(machine.output),
-                host_seconds=seconds, paused=paused,
-                session_payload=(pickle.dumps(
-                    MachineCheckpoint.capture(machine),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                    if paused else None),
-                attempts=attempt)
-        except DeadlineAbandoned as err:
-            self._counters["failed"] += 1
-            self._counters["deadline_abandons"] += 1
-            if err.kind == "WallTimeout":
-                self._counters["timeouts"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(kind=err.kind, message=str(err),
-                                 cycles=err.cycles, transient=True,
-                                 attempts=attempt))
-        except BaseException as err:    # noqa: BLE001 — batch must finish
-            self._counters["failed"] += 1
-            error = _capture_error(err, machine)
-            error.attempts = attempt
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                stats=getattr(err, "stats", None), error=error)
+            self._counters["local_fallbacks"] += 1
+            payload = state.resume_payload.pop(index, None)
+            if payload is None:
+                payload = state.base_payload.get(index)
+            state.results[index] = self._run_in_process(
+                self._fallback_pool, state.queries, state.prepared, index,
+                state.opts, state.timeout_s, state.batch_deadline, payload,
+                attempt=attempts + 1)
 
     def _expire_batch(self, state: _BatchState) -> None:
         """The batch deadline passed: drain what already finished (it
@@ -2108,14 +2087,6 @@ class QueryService:
         state.runnable.clear()
         state.retry_ready.clear()
         for index in pending:
-            if state.results[index] is not None:
-                continue
-            name, text = self._describe(state.queries, index)
-            self._counters["failed"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(
-                    "DeadlineExceeded",
-                    "batch deadline passed before the query was "
-                    "dispatched", transient=True,
-                    attempts=state.attempts.get(index, 0)))
+            if state.results[index] is None:
+                state.results[index] = self._undispatched(
+                    state.queries, index, state.attempts.get(index, 0))

@@ -53,6 +53,13 @@ class TestTranslation:
                 mmu.map_page(VIRTUAL_PAGES, code_space=code_space)
             assert not mmu.is_mapped(0, code_space=code_space)
 
+    def test_out_of_range_map_allocates_no_physical_page(self):
+        mmu = MMU()
+        with pytest.raises(IndexError):
+            mmu.map_page(VIRTUAL_PAGES)
+        assert mmu.next_free_page == 0
+        assert mmu.map_page(0) == 0
+
     def test_entries_materialize_on_first_map(self):
         mmu = MMU()
         assert not mmu.data_table and not mmu.code_table

@@ -292,6 +292,28 @@ def test_pool_collapse_degrades_to_local_fallback():
         assert service.health().degraded
 
 
+def test_degraded_fallback_lets_keyboard_interrupt_through(monkeypatch):
+    """The fallback runs in the caller's own process, so a Ctrl-C
+    there interrupts the caller (as on ``workers=0``) instead of
+    becoming one slot's error."""
+    from repro.serve.service import EnginePool
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    chaos = ChaosPolicy(seed=7, kill_rate=1.0, kill_window=(500, 2_000),
+                        max_kills_per_slot=10)
+    with QueryService(PROGRAMS, workers=1,
+                      supervisor=SupervisorPolicy(max_respawns=0)) as service:
+        # Workers are spawned, so the patch reaches only the parent.
+        monkeypatch.setattr(EnginePool, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            service.run_many(
+                [("nrev", "run(20, R)")], chaos=chaos,
+                retry=RetryPolicy(max_attempts=4, base_delay_s=0.01))
+        assert service.health().degraded
+
+
 def test_supervised_respawn_backs_off_then_recovers():
     """Within budget, a killed worker is respawned after the
     supervisor's backoff and finishes the batch — no degradation."""

@@ -285,3 +285,22 @@ def test_chaos_invariant_over_plm_corpus():
     health = report["health"]
     assert health.crashes > 0, "the seed must actually kill workers"
     assert health.completed == len(CORPUS)
+
+
+# -- soak accounting ---------------------------------------------------------
+
+def test_disposition_ledger_exactly_once():
+    """The soaks' exactly-once gate: a second disposal of one id is
+    kept as a duplicate (the first kind stands) and fails the check,
+    as does an expected id that was never disposed of."""
+    from repro.serve.loadgen import DispositionLedger
+
+    ledger = DispositionLedger()
+    assert ledger.dispose(0, "ok") and ledger.dispose(1, "shed")
+    assert ledger.exactly_once([0, 1])
+    assert not ledger.exactly_once([0, 1, 2]), "missing id 2"
+    assert not ledger.exactly_once([0]), "id 1 was not expected"
+    assert not ledger.dispose(1, "expired")
+    assert ledger.kinds == {0: "ok", 1: "shed"}
+    assert ledger.duplicates == [(1, "expired")]
+    assert not ledger.exactly_once([0, 1]), "duplicate disposal"

@@ -215,7 +215,7 @@ def test_delivered_result_beats_expired_deadline():
                   "recovery": False, "checkpoint_every": None},
             timeout_s=30.0, results=results, policy=None, chaos=None,
             batch_deadline=None, runnable=deque(), idle=deque())
-        service._dispatch(0, 0, state)
+        service._dispatch_chunk([0], 0, state)
         # Wait for the worker's answer to be *delivered* (sitting in
         # the result pipe, not yet collected).
         patience = time.monotonic() + 15.0
